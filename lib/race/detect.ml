@@ -90,11 +90,12 @@ type acc = {
 (* [tb]/[qb]/[nls] are the packing bounds for the int class keys: exclusive
    upper bounds of HB intervals ({!Graph.interval_bounds}) and of canonical
    lockset ids. *)
-(* [ostamp] (over origins, stamped with the group ordinal [gi]) and [ivl]
-   (a node-id-indexed interval memo, packed [1 + t*qb + q], 0 = unset) are
-   slice-local scratch arrays — per-group hash tables on these hot paths
-   cost more than the group work itself. *)
-let check_group g ~disjoint ~hb ~tb ~qb ~nls ~ostamp ~ivl ~gi acc target
+(* [ostamp] (over origins, stamped with the group ordinal [gi]), [olocal]
+   (over origins, a member's index in the group, valid where stamped) and
+   [ivl] (a node-id-indexed interval memo, packed [1 + t*qb + q], 0 =
+   unset) are slice-local scratch arrays — per-group hash tables on these
+   hot paths cost more than the group work itself. *)
+let check_group g ~disjoint ~tb ~qb ~nls ~ostamp ~olocal ~ivl ~gi acc target
     (ns : Graph.node list) =
   (* quick origin-sharing filter: skip single-origin or read-only groups *)
   let n_origins = ref 0 and first_origin = ref (-1) in
@@ -149,75 +150,134 @@ let check_group g ~disjoint ~hb ~tb ~qb ~nls ~ostamp ~ivl ~gi acc target
     in
     let hb_state ~src ~t_idx ~dst ~q_idx =
       acc.a_hbq <- acc.a_hbq + 1;
-      hb ~src ~t_idx ~dst ~q_idx
+      Graph.hb_state g ~src ~t_idx ~dst ~q_idx
     in
-    (* the full ordered relation table over occupied intervals: rel.(i).(j)
-       is the matrix of hb_state answers from origin i's thresholds to
-       origin j's entry positions *)
     let oarr = Array.of_list oinfos in
     let m = Array.length oarr in
-    (* each matrix is bit-packed into a handful of ints (row-major over
-       u.o_ts × v.o_qs): one allocation per ordered pair, and the block
-       equivalence below compares words instead of nested arrays *)
-    let rel =
-      Array.init m (fun i ->
-          Array.init m (fun j ->
-              if i = j then [||]
-              else begin
-                let u = oarr.(i) and v = oarr.(j) in
-                let nts = Array.length u.o_ts
-                and nqs = Array.length v.o_qs in
-                let words = Array.make (((nts * nqs) + 62) / 63) 0 in
-                let b = ref 0 in
-                for ti = 0 to nts - 1 do
-                  for qi = 0 to nqs - 1 do
-                    if
-                      hb_state ~src:u.o_id ~t_idx:u.o_ts.(ti) ~dst:v.o_id
-                        ~q_idx:v.o_qs.(qi)
-                    then
-                      words.(!b / 63) <-
-                        words.(!b / 63) lor (1 lsl (!b mod 63));
-                    incr b
-                  done
-                done;
-                words
-              end))
+    Array.iteri (fun i u -> olocal.(u.o_id) <- i) oarr;
+    (* The relation matrix rel(u,v) holds the hb_state answers from u's
+       occupied thresholds to v's occupied entry positions. hb_state is
+       monotone in q_idx, so each row is a suffix of v.o_qs, described by
+       the index where it starts (Array.length v.o_qs: all-zero). *)
+    let row_start ~(u : oinfo) ~ti ~(v : oinfo) =
+      let lo = ref 0 and hi = ref (Array.length v.o_qs) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if
+          hb_state ~src:u.o_id ~t_idx:u.o_ts.(ti) ~dst:v.o_id
+            ~q_idx:v.o_qs.(mid)
+        then hi := mid
+        else lo := mid + 1
+      done;
+      !lo
+    in
+    (* The closure is sparse, so nearly every matrix is all-zero: only the
+       nonzero rows are gathered, by intersecting each member's reach lists
+       ({!Graph.hb_reach}) with the group — scanning a list no longer than
+       the group against the origin stamps, or else looking each member up
+       in it by binary search. The nonzero row of rel(a,b) at a's [ti]-th
+       occupied threshold, starting at [s], is the int entry [enc b ti s]
+       on a's out-list and [enc a ti s] on b's in-list; each list also sums
+       a commutative hash signature of its entries. *)
+    let enc x ti s = (((x * tb) + ti) * qb) + s in
+    let mix e =
+      let e = (e + 1) * 0x2545F4914F6CDD1D in
+      let e = (e lxor (e lsr 31)) * 0x1CE4E5B9BF58476D in
+      e lxor (e lsr 29)
+    in
+    let outs = Array.make m [] and ins = Array.make m [] in
+    let out_sig = Array.make m 0 and in_sig = Array.make m 0 in
+    let reaches (reach : int array) o =
+      let lo = ref 0 and hi = ref (Array.length reach) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if reach.(mid) < o then lo := mid + 1 else hi := mid
+      done;
+      !lo < Array.length reach && reach.(!lo) = o
+    in
+    Array.iteri
+      (fun a (u : oinfo) ->
+        Array.iteri
+          (fun ti t ->
+            let row b =
+              let v = oarr.(b) in
+              let s = row_start ~u ~ti ~v in
+              if s < Array.length v.o_qs then begin
+                let eo = enc b ti s and ei = enc a ti s in
+                outs.(a) <- eo :: outs.(a);
+                ins.(b) <- ei :: ins.(b);
+                out_sig.(a) <- out_sig.(a) + mix eo;
+                in_sig.(b) <- in_sig.(b) + mix ei
+              end
+            in
+            let reach = Graph.hb_reach g ~src:u.o_id ~t_idx:t in
+            if Array.length reach <= m then
+              Array.iter
+                (fun dst -> if ostamp.(dst) = gi then row olocal.(dst))
+                reach
+            else
+              Array.iteri
+                (fun b (v : oinfo) -> if reaches reach v.o_id then row b)
+                oarr)
+          u.o_ts)
+      oarr;
+    let sorted l =
+      let a = Array.of_list l in
+      Array.sort Int.compare a;
+      a
+    in
+    let outs = Array.map sorted outs and ins = Array.map sorted ins in
+    (* two sorted entry lists agree once the entries toward [i] and [r]
+       themselves are dropped *)
+    let eq_except i r (a : int array) (b : int array) =
+      let keep e =
+        let x = e / (tb * qb) in
+        x <> i && x <> r
+      in
+      let na = Array.length a and nb = Array.length b in
+      let ka = ref 0 and kb = ref 0 and ok = ref true in
+      while !ok && (!ka < na || !kb < nb) do
+        if !ka < na && not (keep a.(!ka)) then incr ka
+        else if !kb < nb && not (keep b.(!kb)) then incr kb
+        else if !ka < na && !kb < nb && a.(!ka) = b.(!kb) then begin
+          incr ka;
+          incr kb
+        end
+        else ok := false
+      done;
+      !ok
     in
     (* [equiv i r]: origins i and r are interchangeable inside this group —
        same self-parallelism and occupied slots, symmetric relation between
        the two, and identical relations toward every third origin. The
        relation is transitive (each third-origin row/column equality chains,
        and the pairwise entries themselves are pinned by any third member),
-       so testing a candidate against one representative per block suffices *)
-    let arr_eq (a : int array) (b : int array) =
-      a == b
-      ||
-      let n = Array.length a in
-      n = Array.length b
-      &&
-      let k = ref 0 in
-      while !k < n && a.(!k) = b.(!k) do
-        incr k
-      done;
-      !k = n
-    in
+       so testing a candidate against one representative per block
+       suffices. The third-origin test first compares signatures with the
+       i↔r entries subtracted, and only a match is confirmed exactly on the
+       entry lists — a hash never decides equivalence. *)
     let equiv i r =
       let u = oarr.(i) and v = oarr.(r) in
       u.o_self_par = v.o_self_par
-      && arr_eq u.o_ts v.o_ts
-      && arr_eq u.o_qs v.o_qs
-      && arr_eq rel.(i).(r) rel.(r).(i)
+      && u.o_ts = v.o_ts
+      && u.o_qs = v.o_qs
       &&
-      let ok = ref true in
-      let x = ref 0 in
-      while !ok && !x < m do
-        if !x <> i && !x <> r then
-          ok :=
-            arr_eq rel.(i).(!x) rel.(r).(!x)
-            && arr_eq rel.(!x).(i) rel.(!x).(r);
-        incr x
+      let ok = ref true and ti = ref 0 in
+      let dr = ref 0 and di = ref 0 in
+      while !ok && !ti < Array.length u.o_ts do
+        let s = row_start ~u ~ti:!ti ~v in
+        ok := s = row_start ~u:v ~ti:!ti ~v:u;
+        if !ok && s < Array.length v.o_qs then begin
+          dr := !dr + mix (enc r !ti s);
+          di := !di + mix (enc i !ti s)
+        end;
+        incr ti
       done;
       !ok
+      && out_sig.(i) - !dr = out_sig.(r) - !di
+      && in_sig.(i) - !dr = in_sig.(r) - !di
+      && eq_except i r outs.(i) outs.(r)
+      && eq_except i r ins.(i) ins.(r)
     in
     (* greedy origin blocks, deterministic (first-node order both ways) *)
     let reps = ref [] and members = Hashtbl.create 8 in
@@ -407,10 +467,11 @@ let check_group g ~disjoint ~hb ~tb ~qb ~nls ~ostamp ~ivl ~gi acc target
 
 (* The seed's group check, preserved verbatim as the test oracle for the
    integer-keyed fast path above: per-group hash tables on structural keys
-   through the polymorphic hash, relation matrices as nested bool arrays
-   compared with structural [=], and direct (unmemoized) closure queries.
-   The report and every gated counter are identical to [check_group] —
-   only the constant factors differ. *)
+   through the polymorphic hash, and a dense relation matrix (nested bool
+   arrays compared with structural [=]) for every ordered origin pair of
+   the group. The report and every gated counter are identical to
+   [check_group]; the closure queries it asks ([shb.hb_queries]) are not —
+   the fast path only asks about the nonzero relations. *)
 let check_group_oracle g ~disjoint acc target (ns : Graph.node list) =
   (* quick origin-sharing filter: skip single-origin or read-only groups *)
   let origin_seen = Hashtbl.create 8 in
@@ -711,30 +772,6 @@ let local_disjoint locks =
           Hashtbl.add cache key v;
           v
 
-(* Interval-level HB answers are pure functions of four small dense ints
-   (source origin, threshold index, destination origin, entry index), and
-   target groups re-ask the same questions — over a hundred times each on
-   the bigger workloads. One byte-array memo per worker answers repeats
-   with a single probe. (Per worker, not per graph: domains must not race
-   on a shared cache.) *)
-let hb_memo g =
-  let tb, qb = Graph.interval_bounds g in
-  let n = Graph.n_origins g in
-  let size = n * tb * n * qb in
-  if size <= 0 || size > 1 lsl 26 then
-    fun ~src ~t_idx ~dst ~q_idx -> Graph.hb_state g ~src ~t_idx ~dst ~q_idx
-  else
-    let memo = Bytes.make size '\000' in
-    fun ~src ~t_idx ~dst ~q_idx ->
-      let k = ((((src * tb) + t_idx) * n + dst) * qb) + q_idx in
-      match Bytes.unsafe_get memo k with
-      | '\001' -> false
-      | '\002' -> true
-      | _ ->
-          let v = Graph.hb_state g ~src ~t_idx ~dst ~q_idx in
-          Bytes.unsafe_set memo k (if v then '\002' else '\001');
-          v
-
 let run_detect ?(jobs = 1) ?(oracle = false) g =
   let locks = Graph.locks g in
   (* group access nodes by flat location id — one int-keyed probe per
@@ -796,14 +833,14 @@ let run_detect ?(jobs = 1) ?(oracle = false) g =
       done
     end
     else begin
-      let hb = hb_memo g in
       let ostamp = Array.make (max 1 (Graph.n_origins g)) (-1) in
+      let olocal = Array.make (max 1 (Graph.n_origins g)) 0 in
       let ivl = Array.make (max 1 (Array.length (Graph.nodes g))) 0 in
       let i = ref first in
       while !i < Array.length group_arr do
         let target, ns = group_arr.(!i) in
-        check_group g ~disjoint ~hb ~tb ~qb ~nls ~ostamp ~ivl ~gi:!i acc target
-          ns;
+        check_group g ~disjoint ~tb ~qb ~nls ~ostamp ~olocal ~ivl ~gi:!i acc
+          target ns;
         i := !i + step
       done
     end;

@@ -57,10 +57,11 @@ val n_races : report -> int
 
     [oracle] (default false) runs the seed's detection loop, preserved
     verbatim — access groups and equivalence classes keyed on structural
-    values through the polymorphic hash, relation matrices as nested bool
-    arrays, no closure-query memo — as the legacy baseline and test oracle
-    for the default integer-indexed fast path. The report and every gated
-    counter are identical either way. *)
+    values through the polymorphic hash, a dense relation matrix for every
+    ordered origin pair of a group — as the legacy baseline and test oracle
+    for the default integer-indexed fast path, which builds only the
+    nonzero relations from {!O2_shb.Graph.hb_reach}. The report and every
+    gated counter are identical either way; [shb.hb_queries] is not. *)
 val run :
   ?metrics:O2_util.Metrics.t -> ?jobs:int -> ?oracle:bool -> Graph.t -> report
 

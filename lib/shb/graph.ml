@@ -46,10 +46,13 @@ type t = {
      position reachable *into* o is either min_int or one of these, so
      reachability at a node of o depends only on how many of them precede
      it. hb_closure.(o).(i).(o') is the minimal position reachable in o'
-     starting from threshold interval i of o (max_int = unreachable). *)
+     starting from threshold interval i of o (max_int = unreachable), and
+     hb_reach.(o).(i) lists, ascending, the origins o' ≠ o whose entry is
+     finite — the sparse view of the same closure row. *)
   mutable hb_thresholds : int array array;
   mutable hb_inpos : int array array;
   mutable hb_closure : int array array array;
+  mutable hb_reach : int array array array;
   hb_queries : int Atomic.t;
 }
 
@@ -511,8 +514,13 @@ let build_hb_closure g =
          if in_range wo then acc.(wo) <- wid :: acc.(wo))
        g.sems_e;
      Array.map (fun l -> Array.of_list (List.sort_uniq compare l)) acc);
-  (* chaotic-iteration BFS from one normalized state, over indexed edges *)
-  let reach_from o0 p0 =
+  g.hb_reach <-
+    Array.map (fun t -> Array.make (Array.length t + 1) [||]) g.hb_thresholds;
+  (* chaotic-iteration BFS from threshold interval i0 of o0, over indexed
+     edges: returns the closure row, and stores the other origins it
+     reached (ascending, read off the row in one pass) as the reach list *)
+  let buf = Array.make n 0 in
+  let reach_from o0 i0 p0 =
     let best = Array.make n max_int in
     let queue = Queue.create () in
     best.(o0) <- p0;
@@ -549,6 +557,14 @@ let build_hb_closure g =
         done
       end
     done;
+    let k = ref 0 in
+    for x = 0 to n - 1 do
+      if best.(x) < max_int && x <> o0 then begin
+        buf.(!k) <- x;
+        incr k
+      end
+    done;
+    g.hb_reach.(o0).(i0) <- Array.sub buf 0 !k;
     best
   in
   g.hb_closure <-
@@ -558,7 +574,7 @@ let build_hb_closure g =
           (Array.length t + 1)
           (fun i ->
             let p = if i < Array.length t then t.(i) else max_int in
-            reach_from o p))
+            reach_from o i p))
 
 (* Exclusive upper bounds of the two [hb_interval] components over all
    origins — the race engine packs (t, q) into its int class keys with
@@ -584,6 +600,8 @@ let hb_interval g (node : node) =
 let hb_state g ~src ~t_idx ~dst ~q_idx =
   let c = g.hb_closure.(src).(t_idx).(dst) in
   c = min_int || (c <> max_int && lower_bound g.hb_inpos.(dst) c < q_idx)
+
+let hb_reach g ~src ~t_idx = g.hb_reach.(src).(t_idx)
 
 (* hb_state is pure (no per-call counting — worker domains would contend on
    the shared counter); batch callers account for their queries here *)
@@ -736,6 +754,7 @@ let build_graph ~serial_events ~lock_region ~oracle a =
       hb_thresholds = [||];
       hb_inpos = [||];
       hb_closure = [||];
+      hb_reach = [||];
       hb_queries = Atomic.make 0;
     }
   in
@@ -822,11 +841,10 @@ let build ?(serial_events = true) ?(lock_region = true) ?(oracle = false)
 (* happens-before *)
 
 (* Legacy BFS over (origin, position) states, kept as the test oracle for
-   the precomputed closure (set O2_HB_BFS=1 to route hb through it). From a
-   position p in origin X one can follow: a spawn edge of X at node id
-   s ≥ p into the start of the child, or X's join into its parent at node
-   id j (everything in X happens before j in the parent). Intra-origin
-   order is the id order. *)
+   the precomputed closure. From a position p in origin X one can follow:
+   a spawn edge of X at node id s ≥ p into the start of the child, or X's
+   join into its parent at node id j (everything in X happens before j in
+   the parent). Intra-origin order is the id order. *)
 let hb_bfs g (a : node) (b : node) =
   if a.n_origin = b.n_origin then a.n_id < b.n_id
   else begin
@@ -861,18 +879,12 @@ let hb_bfs g (a : node) (b : node) =
     !found
   end
 
-let hb_use_bfs_oracle =
-  match Sys.getenv_opt "O2_HB_BFS" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
 (* O(1) happens-before: locate a's threshold interval by binary search,
    then compare the precomputed minimal reachable position in b's origin
    against b's id. *)
 let hb g (a : node) (b : node) =
   Atomic.incr g.hb_queries;
   if a.n_origin = b.n_origin then a.n_id < b.n_id
-  else if hb_use_bfs_oracle then hb_bfs g a b
   else
     let i = lower_bound g.hb_thresholds.(a.n_origin) a.n_id in
     g.hb_closure.(a.n_origin).(i).(b.n_origin) <= b.n_id

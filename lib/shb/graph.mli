@@ -101,9 +101,7 @@ val sem_edges : t -> (int * int * int * int) list
 (** [hb g a b] decides statically-must happens-before between two nodes:
     intra-origin by integer comparison, inter-origin via the origin-level
     HB closure precomputed at build time — a binary search over [a]'s
-    outgoing-edge thresholds, one table lookup and one integer compare.
-    Setting the environment variable [O2_HB_BFS=1] routes inter-origin
-    queries through the legacy BFS instead (debugging aid). *)
+    outgoing-edge thresholds, one table lookup and one integer compare. *)
 val hb : t -> node -> node -> bool
 
 (** [hb_bfs g a b] is the legacy memoized-BFS happens-before over the raw
@@ -131,6 +129,14 @@ val interval_bounds : t -> int * int
     no per-call accounting, so worker domains never contend; batch callers
     report their query counts with {!note_hb_queries}. *)
 val hb_state : t -> src:int -> t_idx:int -> dst:int -> q_idx:int -> bool
+
+(** [hb_reach g ~src ~t_idx] lists, ascending, the origins [dst ≠ src]
+    that a node of [src] in threshold interval [t_idx] reaches at all —
+    exactly those for which [hb_state g ~src ~t_idx ~dst ~q_idx] holds for
+    some [q_idx]. Read off each closure row as the construction's BFS
+    fills it; the race engine walks these lists instead of querying every
+    origin pair. The array is shared: do not mutate it. *)
+val hb_reach : t -> src:int -> t_idx:int -> int array
 
 (** [hb_queries g] is the number of HB queries answered so far: {!hb} calls
     plus counts reported via {!note_hb_queries} (surfaced as

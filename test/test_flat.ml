@@ -47,18 +47,23 @@ let pipeline ?(jobs = 1) ~oracle a =
   let counters = List.map (fun k -> (k, O2_util.Metrics.get m k)) gated_counters in
   (text, json, counters, osa)
 
-let check_parity label a jobs =
+(* one oracle run, compared against the flat path at every jobs value *)
+let check_parity label a jobs_list =
   let t_o, j_o, c_o, osa_o = pipeline ~oracle:true a in
-  let t_f, j_f, c_f, osa_f = pipeline ~jobs ~oracle:false a in
-  check_str (label ^ " text") t_o t_f;
-  check_str (label ^ " json") j_o j_f;
-  List.iter2
-    (fun (k, vo) (_, vf) -> check_int (label ^ " " ^ k) vo vf)
-    c_o c_f;
-  check_int
-    (label ^ " shared_accesses")
-    (O2_osa.Osa.n_shared_accesses osa_o)
-    (O2_osa.Osa.n_shared_accesses osa_f)
+  List.iter
+    (fun jobs ->
+      let label = Printf.sprintf "%s/jobs=%d" label jobs in
+      let t_f, j_f, c_f, osa_f = pipeline ~jobs ~oracle:false a in
+      check_str (label ^ " text") t_o t_f;
+      check_str (label ^ " json") j_o j_f;
+      List.iter2
+        (fun (k, vo) (_, vf) -> check_int (label ^ " " ^ k) vo vf)
+        c_o c_f;
+      check_int
+        (label ^ " shared_accesses")
+        (O2_osa.Osa.n_shared_accesses osa_o)
+        (O2_osa.Osa.n_shared_accesses osa_f))
+    jobs_list
 
 (* ---------------- flat ≡ oracle across the model corpus ---------------- *)
 
@@ -70,7 +75,7 @@ let test_models_parity () =
           let a = Solver.analyze ~policy (m.program ()) in
           check_parity
             (Printf.sprintf "%s/%s" m.name (Context.policy_name policy))
-            a 1)
+            a [ 1 ])
         policies)
     O2_workloads.Models.all
 
@@ -79,9 +84,151 @@ let test_models_parity () =
 let test_zookeeper_jobs_parity () =
   let p = O2_workloads.Synth.program (O2_workloads.Synth.find "zookeeper") in
   let a = Solver.analyze ~policy:(Context.Korigin 1) p in
-  List.iter
-    (fun jobs -> check_parity (Printf.sprintf "zookeeper/jobs=%d" jobs) a jobs)
-    jobs_list
+  check_parity "zookeeper" a jobs_list
+
+(* ---------------- block-forming scale ---------------- *)
+
+(* The random sweep below draws 1-3 threads and 0-2 events, which rarely
+   forms an origin block of three or more members, a block whose members
+   order each other, or a relation row spanning several entry positions —
+   the cases the flat path's sparse block partition must get exactly
+   right. These programs force them. *)
+
+(* a generator spec with its thread and event classes ×k, the scaling of
+   the time-to-verdict benchmark *)
+let scaled name k =
+  let s = O2_workloads.Synth.find name in
+  {
+    s with
+    O2_workloads.Synth.s_thread_classes =
+      s.O2_workloads.Synth.s_thread_classes * k;
+    s_event_classes = s.s_event_classes * k;
+  }
+
+let parity_on_spec label spec =
+  let a =
+    Solver.analyze ~policy:(Context.Korigin 1)
+      (O2_workloads.Synth.program spec)
+  in
+  check_parity label a jobs_list
+
+(* chainstorm ×3: groups of ~450 origins in 3-4 blocks, and a block of
+   eight cyclically re-posting chain handlers that all order each other *)
+let test_chainstorm_parity () =
+  parity_on_spec "chainstorm x3" (scaled "chainstorm" 3)
+
+(* join and signal/wait edges give main several incoming entry positions *)
+let test_join_signal_parity () =
+  parity_on_spec "hbmix x3"
+    { (scaled "hbmix" 3) with s_join = true; s_signal = true }
+
+(* A join ladder: main accesses [x] between successive joins, so its
+   occupied entry positions are {0, 2, 4}, and each worker's relation row
+   toward main starts in the middle of them — w1/w2 (joined first) and
+   w3/w4 share a row and form blocks; v1..v3, spawned after every access
+   of main, form a third. v0 is spawned just before main's last access,
+   so it differs from them only in the relation main has toward it. The
+   idle threads never touch [x], but they make the reach lists of main and
+   of the workers longer than the group. *)
+let join_ladder () =
+  let open O2_ir.Builder in
+  let ws = [ "w1"; "w2"; "w3"; "w4" ] and vs = [ "v1"; "v2"; "v3" ] in
+  let idle = List.init 12 (Printf.sprintf "i%d") in
+  prog ~main:"M"
+    [
+      cls "Box" ~fields:[ "x" ] [];
+      cls "W" ~super:"Thread" ~fields:[ "b" ]
+        [
+          meth "init" [ "b" ] [ fwrite "this" "b" "b" ];
+          meth "run" [] [ fread "d" "this" "b"; fwrite "d" "x" "d"; ret None ];
+        ];
+      cls "Idle" ~super:"Thread" [ meth "run" [] [ ret None ] ];
+      cls "M"
+        [
+          meth ~static:true "main" []
+            ([ new_ "b" "Box" [] ]
+            @ List.map (fun w -> new_ w "W" [ "b" ]) (ws @ ("v0" :: vs))
+            @ List.map (fun i -> new_ i "Idle" []) idle
+            @ List.map start ws
+            @ [
+                fwrite "b" "x" "b";
+                join "w1";
+                join "w2";
+                fwrite "b" "x" "b";
+                join "w3";
+                join "w4";
+                start "v0";
+                fread "r" "b" "x";
+              ]
+            @ List.map start (vs @ idle));
+        ];
+    ]
+
+let test_join_ladder_parity () =
+  let a = Solver.analyze ~policy:(Context.Korigin 1) (join_ladder ()) in
+  (* the shape is really there: main's x accesses sit at three entry
+     positions, and some worker access is ordered before a later one of
+     them but not an earlier one *)
+  let module G = O2_shb.Graph in
+  let g = G.build a in
+  let xs =
+    List.filter
+      (fun (n : G.node) ->
+        match n.n_kind with
+        | G.Read t | G.Write t -> (
+            match G.target_of g t with
+            | Access.Tfield (_, "x") -> true
+            | _ -> false)
+        | _ -> false)
+      (Array.to_list (G.accesses g))
+  in
+  (* main is the only origin that reads x *)
+  let main_o =
+    List.find_map
+      (fun (n : G.node) ->
+        match n.n_kind with G.Read _ -> Some n.n_origin | _ -> None)
+      xs
+    |> Option.get
+  in
+  let mains, others =
+    List.partition (fun (n : G.node) -> n.n_origin = main_o) xs
+  in
+  check_int "main's entry positions" 3
+    (List.length
+       (List.sort_uniq compare
+          (List.map (fun n -> snd (G.hb_interval g n)) mains)));
+  Alcotest.(check bool)
+    "a row starts between main's entry positions" true
+    (List.exists
+       (fun a ->
+         List.exists (fun b -> not (G.hb g a b)) mains
+         && List.exists (fun b -> G.hb g a b) mains)
+       others);
+  check_parity "join ladder" a jobs_list
+
+(* ---------------- work scaling ---------------- *)
+
+(* The flat path's HB query count must grow with the program, not with
+   the square of its origin count. chainstorm ×1 → ×4 took 171,440 →
+   2,575,276 queries (15.0×) when every group built its dense origin-pair
+   relation table, and takes 5,448 → 19,464 (3.6×) with the sparse block
+   partition. *)
+let test_hb_query_scaling () =
+  let queries k =
+    let a =
+      Solver.analyze ~policy:(Context.Korigin 1)
+        (O2_workloads.Synth.program (scaled "chainstorm" k))
+    in
+    let m = O2_util.Metrics.create () in
+    let g = O2_shb.Graph.build ~metrics:m a in
+    ignore (O2_race.Detect.run ~metrics:m g);
+    O2_util.Metrics.get m "shb.hb_queries"
+  in
+  let q1 = queries 1 and q4 = queries 4 in
+  Alcotest.(check bool)
+    (Printf.sprintf "shb.hb_queries x1 -> x4: %d -> %d (<= 6x)" q1 q4)
+    true
+    (q4 <= 6 * q1)
 
 (* ---------------- random programs ---------------- *)
 
@@ -139,8 +286,16 @@ let () =
           Alcotest.test_case "models x policies" `Quick test_models_parity;
           Alcotest.test_case "zookeeper x jobs" `Quick
             test_zookeeper_jobs_parity;
+          Alcotest.test_case "chainstorm x3 x jobs" `Quick
+            test_chainstorm_parity;
+          Alcotest.test_case "join+signal x3 x jobs" `Quick
+            test_join_signal_parity;
+          Alcotest.test_case "join ladder x jobs" `Quick
+            test_join_ladder_parity;
           QCheck_alcotest.to_alcotest prop_flat_parity;
         ] );
+      ( "scaling",
+        [ Alcotest.test_case "hb queries x1 -> x4" `Quick test_hb_query_scaling ] );
       ( "lowering",
         [
           Alcotest.test_case "Flat.check on corpus" `Quick test_flat_check;

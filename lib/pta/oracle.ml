@@ -3,7 +3,7 @@ open O2_util
 
 (* The seed's immediate-firing serial solver, preserved as the executable
    specification of Table 2. The production engine ({!Solver}) restructures
-   constraint generation into parallel describe phases and difference
+   constraint generation into rounds of body scans and difference
    propagation; this module keeps the straightforward recursive formulation
    so property tests can certify the engine against it and the benchmarks
    can report an honest serial baseline. Nothing here is reachable from the

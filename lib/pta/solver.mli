@@ -16,18 +16,14 @@
 
     {2 The round engine}
 
-    The solve alternates {e describe} and {e apply} phases until quiescent.
-    Describe renders each newly reached method instance into a batch of
-    constraint ops against frozen tables — pure, so a round's bodies are
-    described concurrently on a domain pool, with node-key hashing off the
-    serial path. Apply replays the batches serially in task order: all
-    interning and graph mutation happen at this barrier, in an order
-    independent of [jobs], which is why every result — internal ids
-    included — is byte-identical for any shard count. Points-to deltas then
-    propagate across the origin-sharded worklists ({!Pag.propagate}),
-    watcher deliveries flush at the barrier, and newly reached bodies seed
-    the next round. Copy cycles are collapsed ({!Pag.collapse_sccs}) as the
-    graph grows.
+    The solve is serial and runs in rounds until quiescent. A round first
+    scans every method instance reached since the last round, in the
+    order they were reached, turning each body's flat opcode stream
+    straight into graph constraints (copy edges, objects and watchers).
+    Points-to deltas then propagate over one worklist ({!Pag.propagate}),
+    watcher deliveries flush in a fixed order ({!Pag.flush_fires}), and
+    the bodies those deliveries reach seed the next round. Copy cycles are
+    collapsed ({!Pag.collapse_sccs}) as the graph grows.
 
     Besides points-to sets, the solver records everything the downstream
     analyses need: the context-sensitive call graph, the {e spawns} (static
@@ -89,9 +85,8 @@ type icg = {
     whole record. *)
 type result = {
   program : Program.t;
-  flat : Flat.t;  (** the dense lowering the describe phase ran over *)
+  flat : Flat.t;  (** the dense lowering the body scan ran over *)
   policy : Context.policy;
-  jobs : int;  (** shard / domain count the solve ran with *)
   pag : Pag.t;  (** the solved pointer-assignment graph *)
   spawns : spawn array;  (** all origin instances, [main] first *)
   joins : join list;  (** join sites; targets resolve via {!pts_var} *)
@@ -106,10 +101,8 @@ type result = {
     analysis from [main]. Default policy is [Korigin 1] (the paper's O2
     configuration).
 
-    [jobs] is the parallelism degree: the PAG is sharded [jobs] ways by
-    origin and describe/propagate phases run on a pool of [jobs] domains
-    ([1] = fully serial, the default). The result is byte-identical for
-    every [jobs] value.
+    The solve is serial. [jobs] is accepted for source compatibility with
+    callers that still pass it; it is validated and otherwise unused.
 
     When [metrics] is given it is used as the observability sink: the solve
     is wrapped in a ["pta.solve"] span and the Table 6 counters
@@ -121,8 +114,9 @@ type result = {
     When [budget] is given, the propagation loop checks it on every pop and
     lets {!O2_util.Budget.Exhausted} escape when the wall-clock deadline
     or the worklist-step ceiling is passed — callers (the batch driver)
-    turn that into a structured timeout entry. The worker pool is shut down
-    on any exit, including exceptions.
+    turn that into a structured timeout entry. The step count it sees is
+    the exact number of pops so far, so [max_steps:n] lets a solve of [n]
+    pops finish and stops one of [n + 1].
 
     @raise Invalid_argument on a k-limited policy with [k < 1]
     (see {!Context.validate_policy}) or [jobs < 1].

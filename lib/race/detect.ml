@@ -1,12 +1,6 @@
 open O2_pta
 open O2_shb
-
-module IntTbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash x = (x * 0x9e3779b1) land max_int
-end)
+module Inttbl = O2_util.Inttbl
 
 type race = {
   r_target : Access.target;
@@ -310,7 +304,7 @@ let check_group g ~disjoint ~tb ~qb ~nls ~ostamp ~olocal ~ivl ~gi acc target
        (block, t, q, lockset, is-write) into one int — blocks, intervals
        and lockset ids are all dense, so the mixed-radix code is injective
        and the per-group table hashes plain ints *)
-    let cls_tbl = IntTbl.create 16 and cls_order = ref [] in
+    let cls_tbl = Inttbl.create 16 and cls_order = ref [] in
     List.iter
       (fun (n : Graph.node) ->
         let t, q = interval n in
@@ -321,11 +315,11 @@ let check_group g ~disjoint ~tb ~qb ~nls ~ostamp ~olocal ~ivl ~gi acc target
           ((((((blk * tb) + t) * qb) + q) * nls) + ls) * 2
           + if w then 1 else 0
         in
-        match IntTbl.find_opt cls_tbl key with
+        match Inttbl.find_opt cls_tbl key with
         | Some members -> members := n :: !members
         | None ->
             let members = ref [ n ] in
-            IntTbl.add cls_tbl key members;
+            Inttbl.add cls_tbl key members;
             cls_order := ((blk, t, q, ls, w), members) :: !cls_order)
       ns;
     let classes =
@@ -800,19 +794,19 @@ let run_detect ?(jobs = 1) ?(oracle = false) g =
       |> Array.of_list
     end
     else begin
-      let groups : Graph.node list ref IntTbl.t = IntTbl.create 256 in
+      let groups : Graph.node list ref Inttbl.t = Inttbl.create 256 in
       Array.iter
         (fun (n : Graph.node) ->
           match n.Graph.n_kind with
           | Graph.Read t | Graph.Write t -> (
-              match IntTbl.find_opt groups t with
+              match Inttbl.find_opt groups t with
               | Some l -> l := n :: !l
-              | None -> IntTbl.add groups t (ref [ n ]))
+              | None -> Inttbl.add groups t (ref [ n ]))
           | _ -> ())
         (Graph.accesses g);
       (* accesses arrive id-ascending, so reversing the consed list keeps
          each group's members id-ascending *)
-      IntTbl.fold
+      Inttbl.fold
         (fun t l acc -> (Graph.target_of g t, List.rev !l) :: acc)
         groups []
       |> Array.of_list

@@ -108,12 +108,6 @@ let test_json_export () =
   let table = Format.asprintf "%a" Metrics.pp m in
   check "table nonempty" true (String.length table > 0)
 
-(* Stats remains a source-compatible alias of Metrics. *)
-let test_stats_alias () =
-  let s : Stats.t = Metrics.create () in
-  Stats.incr s "k";
-  check_int "shared representation" 1 (Metrics.get s "k")
-
 (* ---------------- pipeline instrumentation ---------------- *)
 
 (* Every stage of an instrumented run must land its counters and span in
@@ -231,7 +225,6 @@ let () =
           Alcotest.test_case "gauges" `Quick test_gauges;
           Alcotest.test_case "spans" `Quick test_spans;
           Alcotest.test_case "json export" `Quick test_json_export;
-          Alcotest.test_case "stats alias" `Quick test_stats_alias;
         ] );
       ( "pipeline",
         [

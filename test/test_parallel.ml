@@ -1,8 +1,9 @@
-(* The parallel solver's contract: for ANY shard count, the round-based
-   difference-propagation engine computes byte-for-byte the facts of the
-   serial reference solver (Oracle), and the whole pipeline's output is
-   byte-identical across [jobs]. Plus unit coverage for the cycle-collapsing
-   and difference-propagation primitives the engine is built on. *)
+(* The solver's contract: the round-based difference-propagation engine
+   computes byte-for-byte the facts of the reference solver (Oracle), the
+   whole pipeline's output is byte-identical across [jobs] (which fans out
+   race detection only), and a budget's step ceiling stops the solve at
+   exactly the right pop. Plus unit coverage for the cycle-collapsing and
+   difference-propagation primitives the engine is built on. *)
 
 open O2_pta
 
@@ -27,7 +28,7 @@ let policies =
     Context.Korigin 1;
   ]
 
-(* ---------------- engine ≡ oracle, for every jobs value ---------------- *)
+(* ---------------- engine ≡ oracle ---------------- *)
 
 let test_oracle_equivalence () =
   List.iter
@@ -37,23 +38,16 @@ let test_oracle_equivalence () =
           List.iter
             (fun policy ->
               let p = program () in
-              let want = Oracle.fingerprint (Oracle.analyze ~policy p) in
-              List.iter
-                (fun jobs ->
-                  let got =
-                    Solver.fingerprint (Solver.analyze ~policy ~jobs p)
-                  in
-                  check_str
-                    (Printf.sprintf "%s/%s/jobs=%d" name
-                       (Context.policy_name policy) jobs)
-                    want got)
-                jobs_list)
+              check_str
+                (Printf.sprintf "%s/%s" name (Context.policy_name policy))
+                (Oracle.fingerprint (Oracle.analyze ~policy p))
+                (Solver.fingerprint (Solver.analyze ~policy p)))
             policies)
         [ (m.name, m.program); (m.name ^ "_fixed", m.fixed) ])
     O2_workloads.Models.all
 
-(* internal ids — not just facts — must be jobs-independent: interning
-   happens only at serial barriers in deterministic task order *)
+(* the solve is serial and ignores [jobs]: internal ids — not just facts —
+   must not depend on it *)
 let test_id_determinism () =
   let m = O2_workloads.Models.find "zookeeper" in
   let base = Solver.analyze ~jobs:1 (m.program ()) in
@@ -99,6 +93,39 @@ let test_pipeline_byte_identity () =
               want (render jobs))
         jobs_list)
     O2_workloads.Models.all
+
+(* ---------------- budget step ceiling ---------------- *)
+
+(* The budget sees the exact pop count: a ceiling equal to the unbudgeted
+   run's [pta.worklist_iters] lets the pipeline finish, one less stops it
+   in the solve — at every jobs value. *)
+let test_step_ceiling_exact () =
+  let p = O2_workloads.Synth.program (O2_workloads.Synth.find "zookeeper") in
+  let m = O2_util.Metrics.create () in
+  ignore (O2.run { O2.Config.default with O2.Config.metrics = Some m } p);
+  let n = O2_util.Metrics.get m "pta.worklist_iters" in
+  check_bool "solve pops" true (n > 1);
+  List.iter
+    (fun jobs ->
+      let run max_steps =
+        O2.run
+          {
+            O2.Config.default with
+            O2.Config.jobs;
+            budget = Some (O2_util.Budget.make ~max_steps ());
+          }
+          p
+      in
+      let r = run n in
+      check_bool
+        (Printf.sprintf "max_steps=%d completes at jobs=%d" n jobs)
+        true
+        (O2_race.Detect.n_races r.O2.report > 0);
+      Alcotest.check_raises
+        (Printf.sprintf "max_steps=%d exhausts at jobs=%d" (n - 1) jobs)
+        (O2_util.Budget.Exhausted `Steps)
+        (fun () -> ignore (run (n - 1))))
+    jobs_list
 
 (* ---------------- cycle collapsing ---------------- *)
 
@@ -242,6 +269,11 @@ let () =
             test_id_determinism;
           Alcotest.test_case "pipeline byte-identity" `Quick
             test_pipeline_byte_identity;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "step ceiling exact" `Quick
+            test_step_ceiling_exact;
         ] );
       ( "scc",
         [

@@ -119,7 +119,8 @@ let test_intern_dense_ids () =
   check_int "count" 2 (SIntern.count t);
   Alcotest.(check string) "value" "b" (SIntern.value t 1);
   Alcotest.(check (option int)) "find" (Some 0) (SIntern.find_opt t "a");
-  Alcotest.(check (option int)) "find missing" None (SIntern.find_opt t "z")
+  Alcotest.(check (option int)) "find missing" None (SIntern.find_opt t "z");
+  check_int "find absent" (-1) (SIntern.find t "z")
 
 let test_intern_value_bad_id () =
   let t = SIntern.create () in
@@ -138,24 +139,27 @@ let test_intern_many () =
   SIntern.iter (fun id v -> if string_of_int id = v then incr seen) t;
   check_int "iter consistent" 1000 !seen
 
-(* ---------------- Stats / Idgen ---------------- *)
+(* ---------------- Inttbl ---------------- *)
 
-let test_stats () =
-  let s = Stats.create () in
-  Stats.incr s "a";
-  Stats.incr s "a";
-  Stats.add s "b" 5;
-  Stats.set s "c" 7;
-  check_int "a" 2 (Stats.get s "a");
-  check_int "b" 5 (Stats.get s "b");
-  check_int "c" 7 (Stats.get s "c");
-  check_int "missing" 0 (Stats.get s "zzz");
-  let x = Stats.time s "t" (fun () -> 41 + 1) in
-  check_int "time result" 42 x;
-  check "timer recorded" true (Stats.get_time s "t" >= 0.0);
-  Alcotest.(check (list string))
-    "counters sorted" [ "a"; "b"; "c" ]
-    (List.map fst (Stats.counters s))
+(* Packed keys that differ only above bit 20 — one field id across many
+   objects, the solver's field-node memo — must still spread over the
+   buckets: the stdlib table indexes buckets by the hash's low bits. *)
+let test_inttbl_spreads_packed_keys () =
+  let t = Inttbl.create 16 in
+  for i = 0 to 4095 do
+    Inttbl.replace t ((i lsl 20) lor 7) i
+  done;
+  check_int "length" 4096 (Inttbl.length t);
+  check_int "find" 42 (Inttbl.find t ((42 lsl 20) lor 7));
+  let st = Inttbl.stats t in
+  check
+    (Printf.sprintf "max bucket %d <= 16" st.Hashtbl.max_bucket_length)
+    true
+    (st.Hashtbl.max_bucket_length <= 16);
+  check "hash non-negative" true
+    (Inttbl.hash min_int >= 0 && Inttbl.hash (-1) >= 0)
+
+(* ---------------- Idgen ---------------- *)
 
 let test_idgen () =
   let g = Idgen.create () in
@@ -188,9 +192,10 @@ let () =
           Alcotest.test_case "bad id" `Quick test_intern_value_bad_id;
           Alcotest.test_case "many" `Quick test_intern_many;
         ] );
-      ( "stats",
+      ( "inttbl",
         [
-          Alcotest.test_case "counters/timers" `Quick test_stats;
-          Alcotest.test_case "idgen" `Quick test_idgen;
+          Alcotest.test_case "packed keys spread" `Quick
+            test_inttbl_spreads_packed_keys;
         ] );
+      ("stats", [ Alcotest.test_case "idgen" `Quick test_idgen ]);
     ]

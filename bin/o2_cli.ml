@@ -36,17 +36,35 @@ let policy_conv =
   in
   Arg.conv (parse, print)
 
-let jobs_conv =
-  (* shared by analyze and batch: the same validation story as
-     [policy_conv] — a non-positive count is a usage error at the CLI
-     boundary, not something to patch up downstream *)
+(* counts (--jobs, --max-steps, --count), shared by batch and fuzz: the
+   same validation story as [policy_conv] — a count below [min] is a usage
+   error at the CLI boundary, not something to patch up downstream *)
+let count_conv ~min ~what ~expected =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some n -> Error (`Msg (Printf.sprintf "jobs must be >= 1, got %d" n))
-    | None -> Error (`Msg (Printf.sprintf "expected a worker count, got %S" s))
+    | Some n when n >= min -> Ok n
+    | Some n ->
+        Error (`Msg (Printf.sprintf "%s must be >= %d, got %d" what min n))
+    | None -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let jobs_conv = count_conv ~min:1 ~what:"jobs" ~expected:"a worker count"
+let steps_conv = count_conv ~min:1 ~what:"max-steps" ~expected:"a step count"
+
+(* a wall-clock budget in seconds: a negative one would time out every
+   file before it starts, and NaN would silently disable the deadline *)
+let deadline_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some d when Float.is_nan d ->
+        Error (`Msg "deadline must be a number of seconds, got nan")
+    | Some d when d < 0.0 ->
+        Error (`Msg (Printf.sprintf "deadline must be >= 0, got %g" d))
+    | Some d -> Ok d
+    | None -> Error (`Msg (Printf.sprintf "expected seconds, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
 
 let entry_conv =
   let parse s =
@@ -140,17 +158,7 @@ let analyze_cmd =
              sharing, lockset-cache hit rate, race checks). With $(b,--json) \
              the report gains a $(b,metrics) field.")
   in
-  let jobs =
-    Arg.(
-      value & opt jobs_conv 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Fan the per-target race checks out over $(docv) worker \
-             domains (default 1 = serial); the pointer analysis is always \
-             serial. Output is byte-identical to a serial run. Ignored by \
-             $(b,--naive).")
-  in
-  let run file entry policy no_serial naive no_region json stats jobs =
+  let run file entry policy no_serial naive no_region json stats =
     handle_errors @@ fun () ->
     let p = load ~entry file in
     let serial_events = not no_serial in
@@ -167,12 +175,11 @@ let analyze_cmd =
     else begin
       let cfg =
         {
-          O2.Config.policy;
+          O2.Config.default with
+          policy;
           serial_events;
           lock_region = not no_region;
           metrics;
-          jobs;
-          budget = None;
         }
       in
       let r = O2.run cfg p in
@@ -183,7 +190,7 @@ let analyze_cmd =
     (Cmd.info "analyze" ~doc:"Detect data races in a CIR program")
     Term.(
       const run $ file_arg $ entry_arg $ policy_arg $ serial_arg $ naive
-      $ no_region $ json $ stats $ jobs)
+      $ no_region $ json $ stats)
 
 (* ---- batch ---- *)
 
@@ -202,9 +209,9 @@ let batch_cmd =
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
             "Analyze up to $(docv) files concurrently on worker domains. \
-             Per-file detection stays serial, so per-file reports are \
-             byte-identical to serial $(b,o2 analyze) runs and the \
-             aggregate report is deterministic for any $(docv).")
+             Each file's analysis is serial, so per-file reports are \
+             byte-identical to $(b,o2 analyze) runs and the aggregate \
+             report is deterministic for any $(docv).")
   in
   let json =
     Arg.(
@@ -225,7 +232,7 @@ let batch_cmd =
   in
   let deadline =
     Arg.(
-      value & opt (some float) None
+      value & opt (some deadline_conv) None
       & info [ "deadline" ] ~docv:"SECONDS"
           ~doc:
             "Per-file wall-clock budget. A file that exceeds it is reported \
@@ -233,7 +240,7 @@ let batch_cmd =
   in
   let max_steps =
     Arg.(
-      value & opt (some int) None
+      value & opt (some steps_conv) None
       & info [ "max-steps" ] ~docv:"N"
           ~doc:
             "Per-file ceiling on pointer-analysis worklist steps; exceeding \
@@ -689,7 +696,8 @@ let fuzz_cmd =
   in
   let count =
     Arg.(
-      value & opt int 100
+      value
+      & opt (count_conv ~min:0 ~what:"count" ~expected:"a program count") 100
       & info [ "count" ] ~docv:"N" ~doc:"Number of programs to generate.")
   in
   let jobs =
@@ -702,7 +710,7 @@ let fuzz_cmd =
   in
   let deadline =
     Arg.(
-      value & opt (some float) (Some 60.0)
+      value & opt (some deadline_conv) (Some 60.0)
       & info [ "deadline" ] ~docv:"SECONDS"
           ~doc:
             "Per-program wall-clock budget (default 60); an exceeded budget \
@@ -710,7 +718,7 @@ let fuzz_cmd =
   in
   let max_steps =
     Arg.(
-      value & opt (some int) (Some 20_000_000)
+      value & opt (some steps_conv) (Some 20_000_000)
       & info [ "max-steps" ] ~docv:"N"
           ~doc:"Per-program pointer-analysis worklist step ceiling.")
   in

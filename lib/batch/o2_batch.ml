@@ -202,14 +202,11 @@ let analyze_one cfg (cache : cache_tbl) file =
         let m = Metrics.create () in
         let ocfg =
           {
-            O2.Config.policy = cfg.policy;
+            O2.Config.default with
+            policy = cfg.policy;
             serial_events = cfg.serial_events;
             lock_region = cfg.lock_region;
             metrics = Some m;
-            (* detection stays serial inside one file: batch parallelism is
-               across files, and per-file output must be byte-identical to
-               a serial `o2 analyze` *)
-            jobs = 1;
             budget;
           }
         in
@@ -257,31 +254,13 @@ let run cfg files =
   let cache = load_cache cfg.cache_file in
   let files_arr = Array.of_list files in
   let n = Array.length files_arr in
-  let results = Array.make n None in
-  let next = Atomic.make 0 in
-  (* each worker claims the next unanalyzed file; the cache table is only
-     read during the run (writes happen after the join below) *)
-  let worker () =
-    let rec go () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        results.(i) <- Some (analyze_one cfg cache files_arr.(i));
-        go ()
-      end
-    in
-    go ()
-  in
-  let jobs = max 1 (min cfg.jobs (max 1 n)) in
-  Metrics.span bm "batch" (fun () ->
-      if jobs <= 1 then worker ()
-      else begin
-        let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-        worker ();
-        Array.iter Domain.join domains
-      end);
+  let jobs = Par.width ~jobs:cfg.jobs n in
+  (* the cache table is only read during the run (writes happen after
+     every file is done) *)
   let entries =
-    Array.to_list results
-    |> List.map (function Some e -> e | None -> assert false)
+    Metrics.span bm "batch" (fun () ->
+        Par.init ~jobs n (fun i -> analyze_one cfg cache files_arr.(i)))
+    |> Array.to_list
     |> List.sort (fun a b -> compare a.e_file b.e_file)
   in
   (* aggregate counters; per-file metrics were kept out of the entries to

@@ -90,28 +90,10 @@ let run_one gates ~seed ~index =
 
 let sweep ?(jobs = 1) ?(gates = default_gates) ~seed ~count () =
   let t0 = Unix.gettimeofday () in
-  let results = Array.make count None in
-  let next = Atomic.make 0 in
-  let worker () =
-    let rec go () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < count then begin
-        results.(i) <- Some (run_one gates ~seed ~index:i);
-        go ()
-      end
-    in
-    go ()
-  in
-  let jobs = max 1 (min jobs (max 1 count)) in
-  if jobs <= 1 then worker ()
-  else begin
-    let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    Array.iter Domain.join domains
-  end;
+  let jobs = O2_util.Par.width ~jobs count in
   let entries =
-    Array.to_list results
-    |> List.map (function Some e -> e | None -> assert false)
+    O2_util.Par.init ~jobs count (fun i -> run_one gates ~seed ~index:i)
+    |> Array.to_list
   in
   {
     r_seed = seed;

@@ -61,7 +61,7 @@ let run (cfg : Config.t) p =
         deadline_gate ();
         let report =
           sp "race" (fun () ->
-              O2_race.Detect.run ?metrics:m ~jobs:cfg.Config.jobs graph)
+              O2_race.Detect.run ?metrics:m graph)
         in
         deadline_gate ();
         let osa = sp "osa" (fun () -> O2_osa.Osa.run ?metrics:m solver) in

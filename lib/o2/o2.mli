@@ -36,11 +36,10 @@ module Config : sig
         (** observability sink threaded through every stage; [None]
             (default) costs nothing on any hot path *)
     jobs : int;
-        (** worker domains (default 1 = serial; requires OCaml 5): the
-            race-detection pair scan fans out over [jobs] domains, and the
-            batch driver and the fuzzer reuse the knob for file and
-            program fan-out. The PTA solve is always serial. Output is
-            byte-identical for every value. *)
+        (** accepted and ignored (default 1), kept for source
+            compatibility only: {!run} is serial in every stage. Domains
+            fan out across files and programs instead, in the batch
+            driver and the fuzzer. *)
     budget : O2_util.Budget.t option;
         (** resource budget: the PTA worklist checks it every step, and the
             wall-clock deadline is re-checked between pipeline stages.
@@ -50,7 +49,7 @@ module Config : sig
   }
 
   (** The paper's defaults: 1-origin OPA, serialized events, lock-region
-      merging, no metrics, serial detection. *)
+      merging, no metrics, no budget. *)
   val default : t
 
   (** [with_metrics cfg] is [cfg] with a fresh metrics sink attached. *)

@@ -70,15 +70,14 @@ type cls = {
   c_by_origin : (int, int) Hashtbl.t;  (* origin -> member count *)
 }
 
-(* per-worker accumulator: merged (and the race list re-sorted) at the end,
-   so the parallel path stays byte-identical to the serial one *)
+(* the detection run's accumulator; races are sorted and deduplicated at
+   the end *)
 type acc = {
   mutable a_races : race list;
   mutable a_pairs : int;
   mutable a_hb : int;
   mutable a_lock : int;
   mutable a_cls : int;
-  mutable a_hbq : int;  (* interval-level HB queries issued by this worker *)
 }
 
 (* [tb]/[qb]/[nls] are the packing bounds for the int class keys: exclusive
@@ -87,9 +86,9 @@ type acc = {
 (* [ostamp] (over origins, stamped with the group ordinal [gi]), [olocal]
    (over origins, a member's index in the group, valid where stamped) and
    [ivl] (a node-id-indexed interval memo, packed [1 + t*qb + q], 0 =
-   unset) are slice-local scratch arrays — per-group hash tables on these
-   hot paths cost more than the group work itself. *)
-let check_group g ~disjoint ~tb ~qb ~nls ~ostamp ~olocal ~ivl ~gi acc target
+   unset) are scratch arrays shared by every group of the run — per-group
+   hash tables on these hot paths cost more than the group work itself. *)
+let check_group g ~tb ~qb ~nls ~ostamp ~olocal ~ivl ~gi acc target
     (ns : Graph.node list) =
   (* quick origin-sharing filter: skip single-origin or read-only groups *)
   let n_origins = ref 0 and first_origin = ref (-1) in
@@ -143,7 +142,6 @@ let check_group g ~disjoint ~tb ~qb ~nls ~ostamp ~olocal ~ivl ~gi acc target
       |> List.rev
     in
     let hb_state ~src ~t_idx ~dst ~q_idx =
-      acc.a_hbq <- acc.a_hbq + 1;
       Graph.hb_state g ~src ~t_idx ~dst ~q_idx
     in
     let oarr = Array.of_list oinfos in
@@ -396,7 +394,7 @@ let check_group g ~disjoint ~tb ~qb ~nls ~ostamp ~olocal ~ivl ~gi acc target
           if candidates > 0 then begin
             acc.a_pairs <- acc.a_pairs + 1;
             acc.a_cls <- acc.a_cls + candidates - 1;
-            if not (disjoint ci.c_ls cj.c_ls) then
+            if not (Lockset.disjoint locks ci.c_ls cj.c_ls) then
               acc.a_lock <- acc.a_lock + 1
             else begin
               (* HB edges in/out of a self-parallel origin order each
@@ -466,7 +464,7 @@ let check_group g ~disjoint ~tb ~qb ~nls ~ostamp ~olocal ~ivl ~gi acc target
    the group. The report and every gated counter are identical to
    [check_group]; the closure queries it asks ([shb.hb_queries]) are not —
    the fast path only asks about the nonzero relations. *)
-let check_group_oracle g ~disjoint acc target (ns : Graph.node list) =
+let check_group_oracle g acc target (ns : Graph.node list) =
   (* quick origin-sharing filter: skip single-origin or read-only groups *)
   let origin_seen = Hashtbl.create 8 in
   let n_origins = ref 0 and first_origin = ref (-1) in
@@ -520,7 +518,6 @@ let check_group_oracle g ~disjoint acc target (ns : Graph.node list) =
       |> List.rev
     in
     let hb_state ~src ~t_idx ~dst ~q_idx =
-      acc.a_hbq <- acc.a_hbq + 1;
       Graph.hb_state g ~src ~t_idx ~dst ~q_idx
     in
     (* the full ordered relation table over occupied intervals: rel.(i).(j)
@@ -685,7 +682,7 @@ let check_group_oracle g ~disjoint acc target (ns : Graph.node list) =
           if candidates > 0 then begin
             acc.a_pairs <- acc.a_pairs + 1;
             acc.a_cls <- acc.a_cls + candidates - 1;
-            if not (disjoint ci.c_ls cj.c_ls) then
+            if not (Lockset.disjoint locks ci.c_ls cj.c_ls) then
               acc.a_lock <- acc.a_lock + 1
             else begin
               (* HB edges in/out of a self-parallel origin order each
@@ -748,25 +745,7 @@ let check_group_oracle g ~disjoint acc target (ns : Graph.node list) =
 
 (* ------------------------------------------------------------------ *)
 
-(* Lockset-id disjointness for a worker domain. The canonical disjointness
-   cache inside Lockset.t is a shared mutable Hashtbl, so the parallel path
-   gives each domain a local cache over the read-only interned elements. *)
-let local_disjoint locks =
-  let cache = Hashtbl.create 64 in
-  fun a b ->
-    if a = b then a = Lockset.empty locks
-    else if a = Lockset.empty locks || b = Lockset.empty locks then true
-    else
-      let key = if a <= b then (a, b) else (b, a) in
-      match Hashtbl.find_opt cache key with
-      | Some v -> v
-      | None ->
-          let la = Lockset.elements locks a and lb = Lockset.elements locks b in
-          let v = not (List.exists (fun l -> List.mem l lb) la) in
-          Hashtbl.add cache key v;
-          v
-
-let run_detect ?(jobs = 1) ?(oracle = false) g =
+let run_detect ~oracle g =
   let locks = Graph.locks g in
   (* group access nodes by flat location id — one int-keyed probe per
      access, with the structural target decoded once per group to label
@@ -812,57 +791,27 @@ let run_detect ?(jobs = 1) ?(oracle = false) g =
       |> Array.of_list
     end
   in
-  let tb, qb = Graph.interval_bounds g in
-  let nls = Lockset.n_distinct locks in
-  let detect_slice ~disjoint first step =
-    let acc =
-      { a_races = []; a_pairs = 0; a_hb = 0; a_lock = 0; a_cls = 0; a_hbq = 0 }
-    in
-    if oracle then begin
-      let i = ref first in
-      while !i < Array.length group_arr do
-        let target, ns = group_arr.(!i) in
-        check_group_oracle g ~disjoint acc target ns;
-        i := !i + step
-      done
-    end
-    else begin
-      let ostamp = Array.make (max 1 (Graph.n_origins g)) (-1) in
-      let olocal = Array.make (max 1 (Graph.n_origins g)) 0 in
-      let ivl = Array.make (max 1 (Array.length (Graph.nodes g))) 0 in
-      let i = ref first in
-      while !i < Array.length group_arr do
-        let target, ns = group_arr.(!i) in
-        check_group g ~disjoint ~tb ~qb ~nls ~ostamp ~olocal ~ivl ~gi:!i acc
-          target ns;
-        i := !i + step
-      done
-    end;
-    acc
-  in
-  let accs =
-    if jobs <= 1 then [ detect_slice ~disjoint:(Lockset.disjoint locks) 0 1 ]
-    else
-      let nd = max 1 (min jobs (Array.length group_arr)) in
-      let domains =
-        Array.init nd (fun d ->
-            Domain.spawn (fun () ->
-                detect_slice ~disjoint:(local_disjoint locks) d nd))
-      in
-      Array.to_list (Array.map Domain.join domains)
-  in
-  let sum f = List.fold_left (fun s a -> s + f a) 0 accs in
-  (* workers count their interval-level HB queries locally (the shared
-     atomic would make domains contend on one cache line); flush once *)
-  Graph.note_hb_queries g (sum (fun a -> a.a_hbq));
-  let races = List.concat_map (fun a -> a.a_races) accs in
+  let acc = { a_races = []; a_pairs = 0; a_hb = 0; a_lock = 0; a_cls = 0 } in
+  if oracle then
+    Array.iter (fun (target, ns) -> check_group_oracle g acc target ns) group_arr
+  else begin
+    let tb, qb = Graph.interval_bounds g in
+    let nls = Lockset.n_distinct locks in
+    let ostamp = Array.make (max 1 (Graph.n_origins g)) (-1) in
+    let olocal = Array.make (max 1 (Graph.n_origins g)) 0 in
+    let ivl = Array.make (max 1 (Array.length (Graph.nodes g))) 0 in
+    Array.iteri
+      (fun gi (target, ns) ->
+        check_group g ~tb ~qb ~nls ~ostamp ~olocal ~ivl ~gi acc target ns)
+      group_arr
+  end;
   let races =
     List.sort
       (fun r1 r2 ->
         compare
           (r1.r_a.Graph.n_id, r1.r_b.Graph.n_id)
           (r2.r_a.Graph.n_id, r2.r_b.Graph.n_id))
-      races
+      acc.a_races
   in
   (* deduplicate identical source-site pairs, keeping the first witness *)
   let seen = Hashtbl.create 64 in
@@ -879,19 +828,19 @@ let run_detect ?(jobs = 1) ?(oracle = false) g =
   in
   {
     races;
-    n_pairs_checked = sum (fun a -> a.a_pairs);
-    n_hb_pruned = sum (fun a -> a.a_hb);
-    n_lock_pruned = sum (fun a -> a.a_lock);
-    n_class_pruned = sum (fun a -> a.a_cls);
+    n_pairs_checked = acc.a_pairs;
+    n_hb_pruned = acc.a_hb;
+    n_lock_pruned = acc.a_lock;
+    n_class_pruned = acc.a_cls;
   }
 
-let run ?metrics ?(jobs = 1) ?(oracle = false) g =
+let run ?metrics ?jobs:_ ?(oracle = false) g =
   match metrics with
-  | None -> run_detect ~jobs ~oracle g
+  | None -> run_detect ~oracle g
   | Some m ->
       let report =
         O2_util.Metrics.span m "race.detect" (fun () ->
-            run_detect ~jobs ~oracle g)
+            run_detect ~oracle g)
       in
       let open O2_util in
       let locks = Graph.locks g in
@@ -901,7 +850,6 @@ let run ?metrics ?(jobs = 1) ?(oracle = false) g =
       Metrics.set m "race.class_pruned" report.n_class_pruned;
       Metrics.set m "race.candidates" (List.length report.races);
       Metrics.set m "race.races" (n_races report);
-      Metrics.set m "race.jobs" jobs;
       Metrics.set m "shb.hb_queries" (Graph.hb_queries g);
       (* the lockset disjointness cache is exercised by detection: snapshot
          its hit rate here (cumulative over all runs on this graph) *)
@@ -910,8 +858,8 @@ let run ?metrics ?(jobs = 1) ?(oracle = false) g =
       report
 
 let analyze ?(policy = Context.Korigin 1) ?(serial_events = true)
-    ?(lock_region = true) ?metrics ?jobs p =
+    ?(lock_region = true) ?metrics p =
   let a = Solver.analyze ~policy ?metrics p in
   let g = Graph.build ~serial_events ~lock_region ?metrics a in
-  let report = run ?metrics ?jobs g in
+  let report = run ?metrics g in
   (a, g, report)

@@ -53,7 +53,7 @@ type t = {
   mutable hb_inpos : int array array;
   mutable hb_closure : int array array array;
   mutable hb_reach : int array array array;
-  hb_queries : int Atomic.t;
+  mutable hb_queries : int;
 }
 
 let solver g = g.solver
@@ -598,16 +598,13 @@ let hb_interval g (node : node) =
    or one of dst's incoming entry positions, so comparing its rank against
    [q_idx] is the same as comparing it against the node id. *)
 let hb_state g ~src ~t_idx ~dst ~q_idx =
+  g.hb_queries <- g.hb_queries + 1;
   let c = g.hb_closure.(src).(t_idx).(dst) in
   c = min_int || (c <> max_int && lower_bound g.hb_inpos.(dst) c < q_idx)
 
 let hb_reach g ~src ~t_idx = g.hb_reach.(src).(t_idx)
 
-(* hb_state is pure (no per-call counting — worker domains would contend on
-   the shared counter); batch callers account for their queries here *)
-let note_hb_queries g k = ignore (Atomic.fetch_and_add g.hb_queries k)
-
-let hb_queries g = Atomic.get g.hb_queries
+let hb_queries g = g.hb_queries
 
 let hb_closure_entries g =
   Array.fold_left
@@ -755,7 +752,7 @@ let build_graph ~serial_events ~lock_region ~oracle a =
       hb_inpos = [||];
       hb_closure = [||];
       hb_reach = [||];
-      hb_queries = Atomic.make 0;
+      hb_queries = 0;
     }
   in
   let spawn_index = Hashtbl.create 16 in
@@ -883,7 +880,7 @@ let hb_bfs g (a : node) (b : node) =
    then compare the precomputed minimal reachable position in b's origin
    against b's id. *)
 let hb g (a : node) (b : node) =
-  Atomic.incr g.hb_queries;
+  g.hb_queries <- g.hb_queries + 1;
   if a.n_origin = b.n_origin then a.n_id < b.n_id
   else
     let i = lower_bound g.hb_thresholds.(a.n_origin) a.n_id in

@@ -125,9 +125,8 @@ val interval_bounds : t -> int * int
     {!hb}: for [src ≠ dst] it equals [hb g a b] for every node [a] of
     [src] in threshold interval [t_idx] and every node [b] of [dst] with
     [q_idx] incoming entry positions before it. The race engine uses it to
-    compare whole equivalence classes (and origin blocks) at once. Pure —
-    no per-call accounting, so worker domains never contend; batch callers
-    report their query counts with {!note_hb_queries}. *)
+    compare whole equivalence classes (and origin blocks) at once. Each
+    call counts one query in {!hb_queries}. *)
 val hb_state : t -> src:int -> t_idx:int -> dst:int -> q_idx:int -> bool
 
 (** [hb_reach g ~src ~t_idx] lists, ascending, the origins [dst ≠ src]
@@ -138,14 +137,10 @@ val hb_state : t -> src:int -> t_idx:int -> dst:int -> q_idx:int -> bool
     origin pair. The array is shared: do not mutate it. *)
 val hb_reach : t -> src:int -> t_idx:int -> int array
 
-(** [hb_queries g] is the number of HB queries answered so far: {!hb} calls
-    plus counts reported via {!note_hb_queries} (surfaced as
-    [shb.hb_queries]). *)
+(** [hb_queries g] is the number of HB queries answered so far: {!hb} plus
+    {!hb_state} calls (surfaced as [shb.hb_queries]). A graph is not safe
+    to query from two domains at once. *)
 val hb_queries : t -> int
-
-(** [note_hb_queries g k] adds [k] interval-level queries ({!hb_state}
-    calls) to the {!hb_queries} counter. Thread-safe. *)
-val note_hb_queries : t -> int -> unit
 
 (** [hb_closure_entries g] counts the finite (reachable) entries of the
     precomputed closure — the [shb.hb_closure_size] counter. *)

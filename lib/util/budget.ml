@@ -13,6 +13,7 @@ let make ?wall ?max_steps () =
   let deadline =
     match wall with
     | None -> None
+    | Some s when Float.is_nan s -> invalid_arg "Budget.make: NaN wall budget"
     | Some s when s < 0.0 -> invalid_arg "Budget.make: negative wall budget"
     | Some s -> Some (Unix.gettimeofday () +. s)
   in

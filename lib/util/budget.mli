@@ -20,7 +20,8 @@ val unlimited : t
     from now (the stored deadline is absolute), [max_steps] the highest
     permitted step count.
 
-    @raise Invalid_argument on a negative [wall] or [max_steps < 1]. *)
+    @raise Invalid_argument on a negative or NaN [wall] or on
+    [max_steps < 1]. *)
 val make : ?wall:float -> ?max_steps:int -> unit -> t
 
 val is_unlimited : t -> bool

@@ -3,22 +3,14 @@
    AST walkers survive behind [~oracle:true] purely as test oracles. This
    suite pins the contract: byte-identical rendered reports and equal
    gated counters between the two paths, across every bundled model ×
-   context policy × jobs, plus a QCheck sweep over random programs and
-   unit coverage for the lowering invariants themselves. *)
+   context policy and on block-forming scaled programs, plus a QCheck
+   sweep over random programs and unit coverage for the lowering
+   invariants themselves. *)
 
 open O2_pta
 
 let check_str = Alcotest.(check string)
 let check_int = Alcotest.(check int)
-
-(* [O2_TEST_JOBS="1,2,8"] widens the matrix, e.g. on a many-core machine *)
-let jobs_list =
-  match Sys.getenv_opt "O2_TEST_JOBS" with
-  | Some s ->
-      String.split_on_char ',' s |> List.map String.trim
-      |> List.filter (fun s -> s <> "")
-      |> List.map int_of_string
-  | None -> [ 1; 2; 4 ]
 
 let policies =
   [ Context.Insensitive; Context.Kcfa 2; Context.Kobj 2; Context.Korigin 1 ]
@@ -36,10 +28,10 @@ let gated_counters =
 (* one post-PTA pipeline over a shared solve: SHB build, detection, OSA
    scan, report rendering — flat by default, legacy walkers under
    [oracle] *)
-let pipeline ?(jobs = 1) ~oracle a =
+let pipeline ~oracle a =
   let m = O2_util.Metrics.create () in
   let g = O2_shb.Graph.build ~oracle ~metrics:m a in
-  let r = O2_race.Detect.run ~metrics:m ~jobs ~oracle g in
+  let r = O2_race.Detect.run ~metrics:m ~oracle g in
   let osa = O2_osa.Osa.run ~oracle ~metrics:m a in
   let res = { O2_race.Report.solver = a; graph = g; report = r } in
   let text = O2_race.Report.render res in
@@ -47,23 +39,16 @@ let pipeline ?(jobs = 1) ~oracle a =
   let counters = List.map (fun k -> (k, O2_util.Metrics.get m k)) gated_counters in
   (text, json, counters, osa)
 
-(* one oracle run, compared against the flat path at every jobs value *)
-let check_parity label a jobs_list =
+let check_parity label a =
   let t_o, j_o, c_o, osa_o = pipeline ~oracle:true a in
-  List.iter
-    (fun jobs ->
-      let label = Printf.sprintf "%s/jobs=%d" label jobs in
-      let t_f, j_f, c_f, osa_f = pipeline ~jobs ~oracle:false a in
-      check_str (label ^ " text") t_o t_f;
-      check_str (label ^ " json") j_o j_f;
-      List.iter2
-        (fun (k, vo) (_, vf) -> check_int (label ^ " " ^ k) vo vf)
-        c_o c_f;
-      check_int
-        (label ^ " shared_accesses")
-        (O2_osa.Osa.n_shared_accesses osa_o)
-        (O2_osa.Osa.n_shared_accesses osa_f))
-    jobs_list
+  let t_f, j_f, c_f, osa_f = pipeline ~oracle:false a in
+  check_str (label ^ " text") t_o t_f;
+  check_str (label ^ " json") j_o j_f;
+  List.iter2 (fun (k, vo) (_, vf) -> check_int (label ^ " " ^ k) vo vf) c_o c_f;
+  check_int
+    (label ^ " shared_accesses")
+    (O2_osa.Osa.n_shared_accesses osa_o)
+    (O2_osa.Osa.n_shared_accesses osa_f)
 
 (* ---------------- flat ≡ oracle across the model corpus ---------------- *)
 
@@ -75,16 +60,15 @@ let test_models_parity () =
           let a = Solver.analyze ~policy (m.program ()) in
           check_parity
             (Printf.sprintf "%s/%s" m.name (Context.policy_name policy))
-            a [ 1 ])
+            a)
         policies)
     O2_workloads.Models.all
 
-(* the jobs axis on the heaviest distributed workload: the flat detection
-   path fanned across domains must still match the serial oracle *)
-let test_zookeeper_jobs_parity () =
+(* the heaviest distributed workload *)
+let test_zookeeper_parity () =
   let p = O2_workloads.Synth.program (O2_workloads.Synth.find "zookeeper") in
   let a = Solver.analyze ~policy:(Context.Korigin 1) p in
-  check_parity "zookeeper" a jobs_list
+  check_parity "zookeeper" a
 
 (* ---------------- block-forming scale ---------------- *)
 
@@ -110,7 +94,7 @@ let parity_on_spec label spec =
     Solver.analyze ~policy:(Context.Korigin 1)
       (O2_workloads.Synth.program spec)
   in
-  check_parity label a jobs_list
+  check_parity label a
 
 (* chainstorm ×3: groups of ~450 origins in 3-4 blocks, and a block of
    eight cyclically re-posting chain handlers that all order each other *)
@@ -204,7 +188,7 @@ let test_join_ladder_parity () =
          List.exists (fun b -> not (G.hb g a b)) mains
          && List.exists (fun b -> G.hb g a b) mains)
        others);
-  check_parity "join ladder" a jobs_list
+  check_parity "join ladder" a
 
 (* ---------------- work scaling ---------------- *)
 
@@ -285,7 +269,7 @@ let () =
         [
           Alcotest.test_case "models x policies" `Quick test_models_parity;
           Alcotest.test_case "zookeeper x jobs" `Quick
-            test_zookeeper_jobs_parity;
+            test_zookeeper_parity;
           Alcotest.test_case "chainstorm x3 x jobs" `Quick
             test_chainstorm_parity;
           Alcotest.test_case "join+signal x3 x jobs" `Quick

@@ -123,7 +123,7 @@ let expected_counters =
     "shb.lockset_cache_hits"; "shb.lockset_cache_misses";
     "shb.hb_closure_size"; "shb.hb_queries";
     "race.pairs_checked"; "race.hb_pruned"; "race.lock_pruned";
-    "race.class_pruned"; "race.candidates"; "race.races"; "race.jobs";
+    "race.class_pruned"; "race.candidates"; "race.races";
     "o2.races"; "o2.origins";
   ]
 

@@ -169,6 +169,49 @@ let test_idgen () =
   let g2 = Idgen.create () in
   check_int "independent" 0 (Idgen.next g2)
 
+(* ---------------- Budget ---------------- *)
+
+(* NaN compares false against everything: left unchecked it became a
+   deadline that never passes *)
+let test_budget_rejects_bad_wall () =
+  List.iter
+    (fun wall ->
+      match Budget.make ~wall () with
+      | _ -> Alcotest.failf "wall %g accepted" wall
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; -1.0 ];
+  check "zero wall accepted" false
+    (Budget.is_unlimited (Budget.make ~wall:0.0 ()))
+
+(* ---------------- Par ---------------- *)
+
+let test_par_index_order () =
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun n ->
+          let label = Printf.sprintf "jobs=%d n=%d" jobs n in
+          check_int (label ^ " width") (max 1 (min jobs n))
+            (Par.width ~jobs n);
+          Alcotest.(check (array int))
+            label
+            (Array.init n (fun i -> (i * i) + 1))
+            (Par.init ~jobs n (fun i -> (i * i) + 1)))
+        [ 0; 1; 7 ])
+    [ 1; 2; 4 ]
+
+let test_par_reraises () =
+  List.iter
+    (fun jobs ->
+      Alcotest.check_raises
+        (Printf.sprintf "jobs=%d" jobs)
+        (Failure "index 5")
+        (fun () ->
+          ignore
+            (Par.init ~jobs 7 (fun i ->
+                 if i = 5 then failwith "index 5" else i))))
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "util"
     [
@@ -198,4 +241,14 @@ let () =
             test_inttbl_spreads_packed_keys;
         ] );
       ("stats", [ Alcotest.test_case "idgen" `Quick test_idgen ]);
+      ( "budget",
+        [
+          Alcotest.test_case "bad wall rejected" `Quick
+            test_budget_rejects_bad_wall;
+        ] );
+      ( "par",
+        [
+          Alcotest.test_case "index order" `Quick test_par_index_order;
+          Alcotest.test_case "exception re-raised" `Quick test_par_reraises;
+        ] );
     ]

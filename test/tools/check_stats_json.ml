@@ -23,7 +23,6 @@ let required =
     (* detection *)
     {|"race.pairs_checked":|}; {|"race.hb_pruned":|}; {|"race.lock_pruned":|};
     {|"race.class_pruned":|}; {|"race.candidates":|}; {|"race.races":|};
-    {|"race.jobs":|};
     (* worklist gauge and the stage trace *)
     {|"pta.worklist_peak":{"current":|};
     {|"path":"analyze/pta"|}; {|"path":"analyze/shb"|};
